@@ -10,6 +10,7 @@ computes genuine statistics; in cost-only mode it just charges CPU time
 from __future__ import annotations
 
 import collections
+import copy
 import typing
 
 import numpy as np
@@ -121,11 +122,24 @@ class PriceAlarmLogic(_SinkAnalyticsLogic):
         super().__init__(cost_per_record)
         # Either a sparse dict (a few watched keys) or a dense per-key
         # array (every key watched — million-key workloads hand one flat
-        # array instead of a million-entry dict).
+        # array instead of a million-entry dict).  The dense array is
+        # kept as a read-only view that every replica shares.
         if thresholds is None:
             thresholds = {}
+        elif isinstance(thresholds, np.ndarray):
+            thresholds = thresholds.view()
+            thresholds.flags.writeable = False
         self.thresholds = thresholds
         self.alarms: typing.List[typing.Tuple[float, int, float]] = []
+
+    def __deepcopy__(self, memo: typing.Dict[int, typing.Any]) -> "PriceAlarmLogic":
+        """Copy per-replica state; share the read-only dense thresholds."""
+        if isinstance(self.thresholds, np.ndarray):
+            memo[id(self.thresholds)] = self.thresholds
+        clone = copy.copy(self)
+        memo[id(self)] = clone
+        clone.__dict__.update(copy.deepcopy(self.__dict__, memo))
+        return clone
 
     def _consume(self, batch: TupleBatch, state: StateAccess) -> None:
         thresholds = self.thresholds

@@ -18,7 +18,10 @@ the whole market in a handful of vectorized draws from seeded
 ``numpy.random.Generator`` streams, so the generator stays usable at
 million-stock key spaces.  The per-tick RNG consumption is *fixed shape*
 (three full-width vectors) regardless of which stocks burst, which keeps
-parameter changes from silently desynchronizing unrelated draws.
+parameter changes from silently desynchronizing unrelated draws.  Each
+tick's weights are built into one fresh array and turned into their
+running sum in place; that cumulative is the tick's only record, shared
+by every source instance's inverse-CDF sampling.
 
 Topology: orders -> transactor -> 6 statistics + 5 event operators,
 keyed by stock id throughout.
@@ -134,8 +137,8 @@ class SSEWorkload:
         #: Off by default at million-key scale: the counters would
         #: dominate the workload's own memory footprint.
         self.track_arrivals = track_arrivals
-        #: Retain only the last N ticks of per-stock weight vectors.
-        #: Each vector is 8 bytes/stock, so unbounded retention at a
+        #: Retain only the last N ticks of per-stock cumulatives.
+        #: Each one is 8 bytes/stock, so unbounded retention at a
         #: million stocks costs ~8 MB *per tick*; source instances all
         #: read within a tick or two of each other, so a small window
         #: suffices for generation.  None keeps every tick (analysis).
@@ -158,7 +161,14 @@ class SSEWorkload:
         self._multiplier = np.ones(num_stocks)
         self._burst = np.zeros(num_stocks)
         self._advanced_ticks = 0
-        self._tick_weights: typing.List[typing.Optional[np.ndarray]] = []
+        #: tick index -> read-only running sum of that tick's weights
+        #: (None once evicted).
+        self._tick_cumulative: typing.List[typing.Optional[np.ndarray]] = []
+        #: Reused per-tick buffer: uniform draws, then the burst factor.
+        self._scratch = np.empty(num_stocks)
+        self._scheduled_stocks = sorted(
+            {burst.stock for burst in self.scheduled_bursts}
+        )
         self._reference_price = 10.0 + 90.0 * self._rng.random(num_stocks)
         self._next_order_id = 0
         self.generated_tuples = 0
@@ -188,21 +198,14 @@ class SSEWorkload:
                     boost += tail
         return boost
 
-    def _scheduled_boost(self, time: float) -> typing.Union[float, np.ndarray]:
-        """Scheduled-burst boosts for all stocks (0.0 when none are due)."""
-        if not self.scheduled_bursts:
-            return 0.0
-        boost = np.zeros(self.num_stocks)
-        for stock in sorted({burst.stock for burst in self.scheduled_bursts}):
-            boost[stock] = self._scheduled_envelope(stock, time)
-        return boost
-
     def _advance_to(self, tick_index: int) -> None:
         """Advance the per-stock rate processes up to ``tick_index``.
 
         One market tick costs three vectorized draws over all stocks
         (drift, burst-onset mask, burst magnitudes) — the RNG stream
-        shape never depends on the data, only on the tick count.
+        shape never depends on the data, only on the tick count.  The
+        tick's weights ``popularity * multiplier * (1 + burst + boost)``
+        go into one fresh array, which becomes their cumulative in place.
         """
         rng = self._rng
         n = self.num_stocks
@@ -211,23 +214,28 @@ class SSEWorkload:
         onset_probability = self.burst_probability * self.tick
         multiplier = self._multiplier
         burst = self._burst
+        scratch = self._scratch
         while self._advanced_ticks <= tick_index:
-            drift = rng.normal(0.0, sigma, n) if sigma > 0 else np.zeros(n)
-            np.exp(drift, out=drift)
-            multiplier *= drift
-            np.clip(multiplier, 0.2, 5.0, out=multiplier)
+            if sigma > 0:
+                drift = rng.normal(0.0, sigma, n)
+                np.exp(drift, out=drift)
+                multiplier *= drift
+                np.clip(multiplier, 0.2, 5.0, out=multiplier)
             np.multiply(burst, decay_per_tick, out=burst)
             burst[burst <= 0.05 * decay_per_tick] = 0.0
-            onset = rng.random(n) < onset_probability
-            magnitudes = self.burst_magnitude * (0.5 + rng.random(n))
-            burst[onset] = magnitudes[onset]
+            onset = np.flatnonzero(rng.random(n, out=scratch) < onset_probability)
+            # Every stock's magnitude is drawn; only the onsets are kept.
+            rng.random(n, out=scratch)
+            burst[onset] = self.burst_magnitude * (0.5 + scratch[onset])
             now = self._advanced_ticks * self.tick
-            weights = (
-                self.popularity
-                * multiplier
-                * (1.0 + burst + self._scheduled_boost(now))
-            )
-            self._tick_weights.append(weights)
+            factor = np.add(burst, 1.0, out=scratch)
+            for stock in self._scheduled_stocks:
+                factor[stock] += self._scheduled_envelope(stock, now)
+            cumulative = np.multiply(self.popularity, multiplier)
+            cumulative *= factor
+            np.cumsum(cumulative, out=cumulative)
+            cumulative.flags.writeable = False
+            self._tick_cumulative.append(cumulative)
             self._advanced_ticks += 1
         window = self.weights_window
         if window is not None:
@@ -238,27 +246,33 @@ class SSEWorkload:
             if drop > 0:
                 # Free the arrays but keep list indexing tick-aligned.
                 for i in range(self._evicted_ticks, self._evicted_ticks + drop):
-                    self._tick_weights[i] = None
+                    self._tick_cumulative[i] = None
                 self._evicted_ticks += drop
 
-    def stock_weights(self, tick_index: int) -> np.ndarray:
+    def stock_cumulative(self, tick_index: int) -> np.ndarray:
+        """Read-only running sum of the per-stock weights at a tick."""
         self._advance_to(tick_index)
-        weights = self._tick_weights[tick_index]
-        if weights is None:
+        cumulative = self._tick_cumulative[tick_index]
+        if cumulative is None:
             raise ValueError(
                 f"tick {tick_index} weights were evicted "
                 f"(weights_window={self.weights_window}); widen the window "
                 "or query before advancing past it"
             )
-        return weights
+        return cumulative
+
+    def stock_weights(self, tick_index: int) -> np.ndarray:
+        """Per-stock weights at a tick, recovered from its cumulative."""
+        return np.diff(self.stock_cumulative(tick_index), prepend=0.0)
 
     def stock_rate(self, stock: int, tick_index: int) -> float:
         """Instantaneous arrival rate of one stock (tuples/s)."""
-        weights = self.stock_weights(tick_index)
-        total = weights.sum()
+        cumulative = self.stock_cumulative(tick_index)
+        total = cumulative[-1]
         if total == 0:
             return 0.0
-        return float(self.rate * weights[stock] / total)
+        below = cumulative[stock - 1] if stock > 0 else 0.0
+        return float(self.rate * (cumulative[stock] - below) / total)
 
     # -- order synthesis ------------------------------------------------------
 
@@ -305,7 +319,7 @@ class SSEWorkload:
 
         Lazy at tick granularity: each tick draws the stock ids and
         creation times as whole arrays (inverse-CDF over the tick's
-        weight vector), then yields the batch objects one by one.
+        shared cumulative), then yields the batch objects one by one.
         """
         if not 0 <= instance_index < num_instances:
             raise ValueError("instance_index out of range")
@@ -320,13 +334,12 @@ class SSEWorkload:
         try:
             while duration is None or tick_index * self.tick < duration:
                 self._instance_ticks[instance_index] = tick_index
-                weights = self.stock_weights(tick_index)
+                cumulative = self.stock_cumulative(tick_index)
                 tick_start = tick_index * self.tick
                 wanted = tuples_per_tick + carry
                 num_batches = int(wanted / batch_size)
                 carry = wanted - num_batches * batch_size
                 if num_batches > 0:
-                    cumulative = np.cumsum(weights)
                     draws = rng.random(num_batches) * cumulative[-1]
                     stocks = np.minimum(
                         np.searchsorted(cumulative, draws), self.num_stocks - 1

@@ -4,6 +4,9 @@ Scaled-down versions of the paper's setups: small cluster, short runs.
 Each test checks behaviour the evaluation section depends on.
 """
 
+import copy
+
+import numpy as np
 import pytest
 
 from repro import (
@@ -13,6 +16,7 @@ from repro import (
     StreamSystem,
     SystemConfig,
 )
+from repro.logic import PriceAlarmLogic
 
 
 def make_micro(paradigm, rate=6000, omega=0.0, duration=None, seed=3, **workload_kwargs):
@@ -134,6 +138,61 @@ class TestWorkloadDynamicsResponse:
         calm = make_micro(Paradigm.RC, rate=9000, omega=2.0).run(40.0, warmup=15.0)
         wild = make_micro(Paradigm.RC, rate=9000, omega=16.0).run(40.0, warmup=15.0)
         assert wild.latency["p99"] > calm.latency["p99"] * 0.5  # not better
+
+
+class TestReplicaSharing:
+    """Executor replicas share read-only per-key tables, not copies."""
+
+    @pytest.mark.parametrize(
+        "paradigm", [Paradigm.ELASTICUTOR, Paradigm.STATIC, Paradigm.RC]
+    )
+    def test_dense_thresholds_shared_across_replicas(self, paradigm):
+        workload = SSEWorkload(
+            rate=4000, num_stocks=20_000, batch_size=10, seed=5,
+            track_arrivals=False,
+        )
+        topology = workload.build_topology(
+            executors_per_operator=4, shards_per_executor=8,
+            analytics_executors=2,
+        )
+        config = SystemConfig(
+            paradigm=paradigm, num_nodes=8, cores_per_node=8, source_instances=2,
+        )
+        system = StreamSystem(topology, workload, config)
+        alarm_specs = [
+            spec for spec in topology if isinstance(spec.logic, PriceAlarmLogic)
+        ]
+        assert len(alarm_specs) == 3
+        for spec in alarm_specs:
+            shared = spec.logic.thresholds
+            assert shared.shape == (20_000,)
+            assert not shared.flags.writeable
+            with pytest.raises(ValueError):
+                shared[0] = 0.0
+            replicas = [ex.logic for ex in system.executors_by_operator[spec.name]]
+            assert len(replicas) >= 2
+            for logic in replicas:
+                assert logic is not spec.logic
+                assert np.shares_memory(logic.thresholds, shared)
+                assert not logic.thresholds.flags.writeable
+                assert logic.alarms is not spec.logic.alarms
+            assert len({id(logic.alarms) for logic in replicas}) == len(replicas)
+
+    def test_caller_array_stays_writable(self):
+        reference = np.full(8, 10.0)
+        logic = PriceAlarmLogic(thresholds=reference)
+        reference[0] = 11.0
+        assert logic.thresholds[0] == 11.0  # a view, not a copy
+        assert reference.flags.writeable
+
+    def test_sparse_thresholds_copied_per_replica(self):
+        logic = PriceAlarmLogic(thresholds={3: 15.0})
+        replica = copy.deepcopy(logic)
+        assert replica.thresholds == {3: 15.0}
+        assert replica.thresholds is not logic.thresholds
+        assert replica.alarms is not logic.alarms
+        replica.thresholds[4] = 1.0
+        assert 4 not in logic.thresholds
 
 
 class TestSSEApplication:

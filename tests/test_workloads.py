@@ -1,5 +1,8 @@
 """Unit tests for the workload generators."""
 
+import hashlib
+import struct
+
 import pytest
 
 from repro.sim import Environment
@@ -317,6 +320,48 @@ class TestHotspotBurst:
         assert hot_now == set(keys)
 
 
+class TestWeightsWindow:
+    """Bounded retention of per-tick cumulatives."""
+
+    def test_window_validation(self):
+        with pytest.raises(ValueError, match="weights_window"):
+            SSEWorkload(num_stocks=10, weights_window=1)
+
+    def test_evicted_tick_raises(self):
+        workload = SSEWorkload(num_stocks=50, weights_window=2, seed=2)
+        workload.stock_cumulative(5)
+        assert workload.stock_cumulative(4) is not None
+        for query in (
+            workload.stock_cumulative,
+            workload.stock_weights,
+            lambda tick: workload.stock_rate(0, tick),
+        ):
+            with pytest.raises(ValueError, match="widen the window"):
+                query(3)
+
+    def test_slow_instance_keeps_its_tick(self):
+        workload = SSEWorkload(
+            rate=20_000, num_stocks=50, batch_size=10, weights_window=2, seed=2
+        )
+        env = Environment()
+        slow = workload.schedule(env, 0, 2)
+        fast = workload.schedule(env, 1, 2)
+        created, _ = next(slow)
+        assert created < workload.tick  # parked on tick 0
+        while next(fast)[0] < 1.0:
+            pass  # the fast instance runs ten ticks ahead
+        # Tick 0 is far outside the window but the slow instance still
+        # samples from it, so it survives; later ticks are kept as well.
+        kept = workload.stock_cumulative(0)
+        assert kept[-1] > 0
+        assert next(slow)[0] < workload.tick
+        slow.close()  # deregisters the slow instance
+        workload.stock_cumulative(12)
+        with pytest.raises(ValueError, match="widen the window"):
+            workload.stock_cumulative(0)
+        assert workload.stock_cumulative(11) is not None
+
+
 class TestScheduledBurst:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -444,3 +489,87 @@ class TestMillionKeyScale:
         first = dist.sample(1000)
         dist.set_rng_state(state)
         assert dist.sample(1000) == first
+
+
+def _stream_digests(workload, num_instances=4, duration=3.0):
+    """SHA-256 of each source instance's ``(created_at, key)`` stream.
+
+    The instances are drained round-robin, one batch at a time, so they
+    stay within a tick of each other the way live sources do and the
+    weights window slides underneath them.
+    """
+    env = Environment()
+    streams = [
+        workload.schedule(env, i, num_instances, duration=duration)
+        for i in range(num_instances)
+    ]
+    hashes = [hashlib.sha256() for _ in streams]
+    live = list(range(num_instances))
+    while live:
+        for i in list(live):
+            item = next(streams[i], None)
+            if item is None:
+                live.remove(i)
+                continue
+            created, batch = item
+            hashes[i].update(struct.pack("<dq", created, batch.key))
+    return [h.hexdigest()[:16] for h in hashes]
+
+
+class TestSSEStreamIdentity:
+    """Pinned per-instance order streams of a 10k-stock market.
+
+    Any change to the per-tick weight or cumulative arithmetic, or to
+    the RNG calls behind it, shows up here as a digest mismatch."""
+
+    NUM_STOCKS = 10_000
+    BURSTS = (
+        ScheduledBurst(start=0.5, stock=3, magnitude=6.0, ramp=0.5, hold=0.5),
+        ScheduledBurst(start=0.8, stock=3, magnitude=2.0, ramp=0.0, hold=0.3),
+        ScheduledBurst(start=1.0, stock=9_999, magnitude=40.0, ramp=1.0, hold=0.2),
+    )
+
+    def _workload(self, **overrides):
+        params = dict(
+            rate=20_000.0, num_stocks=self.NUM_STOCKS, batch_size=10,
+            track_arrivals=False, weights_window=2, seed=11,
+        )
+        params.update(overrides)
+        return SSEWorkload(**params)
+
+    CASES = {
+        "random-bursts": (
+            {},
+            ["6bf59af100a7ddc0", "11e7aabd02de81d0",
+             "2a35b7ddb9445bed", "bd8615399c22707d"],
+            "0abad3c004b5b105",
+        ),
+        "scheduled-bursts": (
+            {"scheduled_bursts": BURSTS},
+            ["507f079796aedb8d", "4791703ef4e0eaf8",
+             "825a4c0c3b215253", "ee067ac9e91f148d"],
+            "c80060b487a0037e",
+        ),
+        "no-drift": (
+            {"drift_sigma": 0.0, "weights_window": None},
+            ["e1b277d075febe37", "ffe3f8c0916e00b8",
+             "a7ddf649906b86b7", "766906b454ec018c"],
+            "fd3104b42844a286",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_instance_streams(self, case):
+        overrides, digests, _ = self.CASES[case]
+        assert _stream_digests(self._workload(**overrides)) == digests
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_tick_cumulatives(self, case):
+        # Bit-for-bit: a sampled stream only moves when a draw lands
+        # within an ulp of a boundary, the cumulatives move at once.
+        overrides, _, digest = self.CASES[case]
+        workload = self._workload(**overrides)
+        sha = hashlib.sha256()
+        for tick in range(40):
+            sha.update(workload.stock_cumulative(tick).tobytes())
+        assert sha.hexdigest()[:16] == digest
