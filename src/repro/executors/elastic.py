@@ -243,7 +243,7 @@ class _TaskPipeline(Event):
     Replaces two generators per task — ``Task._run`` and the executor's
     ``process_batch`` — with a single slotted FSM driven entirely by
     event callbacks: get an item, burn the CPU cost (a bare wake event on
-    the timer wheel), apply state + logic, then hand emissions to the
+    the timer queue), apply state + logic, then hand emissions to the
     emitter queue.  The per-batch event footprint (get, wake, emission
     puts) is identical to the generator pair, so simulation ordering is
     unchanged; the ~3 generator resumes per batch disappear.
@@ -327,8 +327,7 @@ class _TaskPipeline(Event):
             wake.callbacks = [self._on_wake_cb]
             wake._ok = True
             wake._value = None
-            env._timers.push(env._now + cost, env._seq, wake)
-            env._seq += 1
+            env.push_at(env._now + cost, wake)
             self._waiting = wake
             return
         self._execute()
@@ -674,8 +673,7 @@ class ElasticExecutor:
             wake.callbacks = []
             wake._ok = True
             wake._value = None
-            env._timers.push(env._now + cost, env._seq, wake)
-            env._seq += 1
+            env.push_at(env._now + cost, wake)
             yield wake
         shard_id = self._shard_lookup[batch.key]
         self._shard_cost_accum[shard_id] += cost

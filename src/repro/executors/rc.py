@@ -247,6 +247,7 @@ class RCOperatorManager:
         "_shard_load", "_next_index", "_downstream_groups",
         "_sink_recorder", "target_executors_fn", "_placement_cursor",
         "repartition_count", "_protocol_lock", "_recovering", "latency_probe",
+        "retired_processed_tuples",
     )
 
     def __init__(
@@ -296,6 +297,9 @@ class RCOperatorManager:
         #: Node placement cursor for new executors (round robin).
         self._placement_cursor = 0
         self.repartition_count = 0
+        #: Tuples processed by executors that are no longer in
+        #: ``executors`` (retired by a repartition or lost to a crash).
+        self.retired_processed_tuples = 0
         #: Serializes repartitioning rounds against crash recovery.
         self._protocol_lock = Resource(env)
         self._recovering = False
@@ -386,6 +390,12 @@ class RCOperatorManager:
         self.executors.append(executor)
         self.cluster.cores.allocate(executor.name, node_id, 1)
         return executor
+
+    def _forget(self, executor: RCExecutor) -> None:
+        """Drop ``executor`` from the live list, keeping its work counted."""
+        if executor in self.executors:
+            self.executors.remove(executor)
+            self.retired_processed_tuples += executor.metrics.processed_tuples.total
 
     def _pick_node_for_new_executor(self) -> typing.Optional[int]:
         free_nodes = self.cluster.cores.nodes_with_free_cores()
@@ -590,8 +600,7 @@ class RCOperatorManager:
             # Retire removed executors (their queues are drained by now).
             for executor in removed:
                 executor.input_queue.put_nowait(STOP)
-                if executor in self.executors:
-                    self.executors.remove(executor)
+                self._forget(executor)
                 try:
                     self.cluster.cores.release(executor.name, executor.node_id, 1)
                 except CoreAllocationError:
@@ -657,8 +666,7 @@ class RCOperatorManager:
         try:
             failed_nodes = set()
             for executor in dead:
-                if executor in self.executors:
-                    self.executors.remove(executor)
+                self._forget(executor)
                 if state_lost:
                     failed_nodes.add(executor.node_id)
                 try:

@@ -84,10 +84,17 @@ ALLOWED_PATH_SUFFIXES = (
 _ORDERING_SINKS = frozenset({"list", "tuple"})
 
 
+#: Binary operators that build a set when either operand is one.
+_SET_ALGEBRA_OPS = (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
+
+
 def _is_set_expr(node: ast.AST) -> bool:
-    """A set display, set comprehension, or bare ``set(...)`` call."""
+    """A set display, set comprehension, bare ``set(...)`` call, or set
+    algebra (``|``, ``&``, ``-``, ``^``) with a set operand."""
     if isinstance(node, (ast.Set, ast.SetComp)):
         return True
+    if isinstance(node, ast.BinOp) and isinstance(node.op, _SET_ALGEBRA_OPS):
+        return _is_set_expr(node.left) or _is_set_expr(node.right)
     return (
         isinstance(node, ast.Call)
         and isinstance(node.func, ast.Name)

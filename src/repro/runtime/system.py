@@ -568,9 +568,7 @@ class StreamSystem:
                     "operator": name,
                     "executors": len(executors),
                     "cores": cores,
-                    "processed_tuples": sum(
-                        ex.metrics.processed_tuples.total for ex in executors
-                    ),
+                    "processed_tuples": self._processed_tuples(name),
                     "arrival_rate": sum(
                         ex.metrics.arrival_rate(now) for ex in executors
                     ),
@@ -638,9 +636,19 @@ class StreamSystem:
             raise
         return self.result(duration)
 
+    def _processed_tuples(self, operator: str) -> int:
+        """Tuples ``operator`` processed, counting RC's retired executors."""
+        total = sum(
+            ex.metrics.processed_tuples.total
+            for ex in self.executors_by_operator[operator]
+        )
+        manager = self.rc_managers.get(operator)
+        if manager is not None:
+            total += manager.retired_processed_tuples
+        return total
+
     def result(self, duration: float) -> SystemResult:
-        executors = self.executors_by_operator[self._measure_operator]
-        processed = sum(ex.metrics.processed_tuples.total for ex in executors)
+        processed = self._processed_tuples(self._measure_operator)
         window = max(duration - self._warmup, 1e-9)
         measured = sum(
             value

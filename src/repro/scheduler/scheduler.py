@@ -372,7 +372,9 @@ class DynamicScheduler:
                 (node, count)
             )
         procs = []
-        for name in set(adds_by_executor) | set(deferred_by_executor):
+        # Sorted, not set order: transitions start in a fixed order
+        # whatever the string hash seed.
+        for name in sorted(set(adds_by_executor) | set(deferred_by_executor)):
             executor = (
                 adds_by_executor.get(name) or deferred_by_executor.get(name)
             )[0]

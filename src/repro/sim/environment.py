@@ -3,22 +3,12 @@
 from __future__ import annotations
 
 import collections
-import os
+import heapq
 import typing
 
 from repro.sim.events import AllOf, AnyOf, Event, SimulationError, Timeout
 from repro.sim.process import Process
-from repro.sim.wheel import HeapTimerQueue, TimerWheel
 from repro.telemetry.events import NULL_BUS
-
-#: Timer-queue implementations selectable via ``REPRO_TIMER``.  ``wheel``
-#: is the production kernel; ``heap`` forces the retired binary heap for
-#: differential debugging (both produce bit-identical event order — the
-#: property battery in ``tests/test_timer_wheel.py`` enforces it).
-_TIMER_IMPLS: typing.Dict[str, type] = {
-    "wheel": TimerWheel,
-    "heap": HeapTimerQueue,
-}
 
 
 class Environment:
@@ -29,14 +19,14 @@ class Environment:
     deterministic.
 
     Two queues back the clock.  Future events (``delay > 0``) live on a
-    coalescing hierarchical timer wheel (:class:`~repro.sim.wheel.TimerWheel`)
-    that yields entries in exact ``(time, seq)`` order.  Already-due events
+    binary heap of ``(time, seq, event)`` entries (``heapq``), which pops
+    them in exact ``(time, seq)`` order.  Already-due events
     (``delay == 0`` — the overwhelming majority: store hand-offs, process
     wakeups) go to a plain FIFO deque of ``(seq, event)`` instead, which
     skips the timer structure entirely.  The merge rule in :meth:`step`
     compares sequence numbers whenever a timer entry is due at the current
     time, so the combined processing order is exactly the global
-    ``(time, seq)`` order a single-heap kernel would produce:
+    ``(time, seq)`` order a single heap holding every event would produce:
 
     - every deque entry was scheduled *at* the current time, so its time
       component equals ``now``;
@@ -44,20 +34,16 @@ class Environment:
       the clock only advances by popping the timer minimum), so a timer
       entry competes with the deque only when its time == ``now`` — and
       then the smaller sequence number wins, same as the heap tie-break.
+
+    Only this class knows the timer-entry format: code outside it
+    schedules future events through :meth:`schedule` and :meth:`push_at`.
     """
 
     __slots__ = ("_now", "_timers", "_ready", "_seq", "_processed", "telemetry")
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
-        name = os.environ.get("REPRO_TIMER", "wheel")
-        try:
-            impl = _TIMER_IMPLS[name]
-        except KeyError:
-            raise SimulationError(
-                f"unknown REPRO_TIMER={name!r}; choose from {sorted(_TIMER_IMPLS)}"
-            ) from None
-        self._timers = impl(start=self._now)
+        self._timers: typing.List[typing.Tuple[float, int, Event]] = []
         self._ready: collections.deque = collections.deque()
         self._seq = 0
         self._processed = 0
@@ -84,7 +70,7 @@ class Environment:
     def schedule(self, event: Event, delay: float = 0.0) -> None:
         """Queue a triggered event for processing ``delay`` seconds from now."""
         if delay > 0.0:
-            self._timers.push(self._now + delay, self._seq, event)
+            heapq.heappush(self._timers, (self._now + delay, self._seq, event))
         elif delay == 0.0:
             self._ready.append((self._seq, event))
         else:
@@ -105,7 +91,9 @@ class Environment:
         """Queue a triggered event for processing at absolute virtual ``time``.
 
         The sanctioned future-event fast path: equivalent to
-        ``schedule(event, time - now)`` for ``time > now``.
+        ``schedule(event, time - now)`` for ``time > now``.  ``time == now``
+        goes to the ready deque, which orders it exactly as a heap entry
+        at ``now`` with the same sequence number would be ordered.
         """
         if time <= self._now:
             if time == self._now:
@@ -115,26 +103,28 @@ class Environment:
             raise SimulationError(
                 f"cannot schedule into the past (time={time} < now={self._now})"
             )
-        self._timers.push(time, self._seq, event)
+        heapq.heappush(self._timers, (time, self._seq, event))
         self._seq += 1
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` when idle."""
         if self._ready:
             return self._now
-        return self._timers.head_time
+        if self._timers:
+            return self._timers[0][0]
+        return float("inf")
 
     def step(self) -> None:
         """Process exactly one event (the globally next in (time, seq) order)."""
         ready = self._ready
         timers = self._timers
         if ready:
-            if timers.head_time <= self._now and timers.head_seq < ready[0][0]:
-                self._now, _, event = timers.pop()
+            if timers and timers[0][0] <= self._now and timers[0][1] < ready[0][0]:
+                self._now, _, event = heapq.heappop(timers)
             else:
                 _, event = ready.popleft()
-        elif timers.head_seq >= 0:
-            self._now, _, event = timers.pop()
+        elif timers:
+            self._now, _, event = heapq.heappop(timers)
         else:
             raise SimulationError("no scheduled events")
         self._processed += 1
@@ -152,13 +142,10 @@ class Environment:
         # innermost loop of the whole simulator, worth the duplication.
         # ``now`` mirrors self._now — only this loop advances the clock
         # (callbacks schedule events but never move time), so the merge
-        # rule reads a local instead of a slot on every event.  The timer
-        # head is exposed as two plain attributes (``head_time`` /
-        # ``head_seq``) precisely so this loop never makes a method call
-        # to decide between the deque and the wheel.
+        # rule reads a local instead of a slot on every event.
         ready = self._ready
         timers = self._timers
-        pop = timers.pop
+        pop = heapq.heappop
         processed = 0
         now = self._now
         try:
@@ -166,15 +153,16 @@ class Environment:
                 while True:
                     if ready:
                         if (
-                            timers.head_time <= now
-                            and timers.head_seq < ready[0][0]
+                            timers
+                            and timers[0][0] <= now
+                            and timers[0][1] < ready[0][0]
                         ):
-                            now, _, event = pop()
+                            now, _, event = pop(timers)
                             self._now = now
                         else:
                             _, event = ready.popleft()
-                    elif timers.head_seq >= 0:
-                        now, _, event = pop()
+                    elif timers:
+                        now, _, event = pop(timers)
                         self._now = now
                     else:
                         return
@@ -191,15 +179,16 @@ class Environment:
             while True:
                 if ready:
                     if (
-                        timers.head_time <= now
-                        and timers.head_seq < ready[0][0]
+                        timers
+                        and timers[0][0] <= now
+                        and timers[0][1] < ready[0][0]
                     ):
-                        now, _, event = pop()
+                        now, _, event = pop(timers)
                         self._now = now
                     else:
                         _, event = ready.popleft()
-                elif timers.head_time <= until:
-                    now, _, event = pop()
+                elif timers and timers[0][0] <= until:
+                    now, _, event = pop(timers)
                     self._now = now
                 else:
                     break

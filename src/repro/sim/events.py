@@ -115,7 +115,7 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: typing.Any = None) -> None:
-        # Inlined Event.__init__ + Environment.schedule: one Timeout is
+        # Inlined Event.__init__ plus a direct push_at: one Timeout is
         # created per processed batch (the CPU-cost wait), so the extra
         # call frames showed up in profiles.
         if delay < 0:
@@ -125,11 +125,7 @@ class Timeout(Event):
         self.delay = delay
         self._ok = True
         self._value = value
-        if delay > 0.0:
-            env._timers.push(env._now + delay, env._seq, self)
-        else:
-            env._ready.append((env._seq, self))
-        env._seq += 1
+        env.push_at(env._now + delay, self)
 
 
 class _Condition(Event):

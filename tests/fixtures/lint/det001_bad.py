@@ -45,3 +45,10 @@ def iterate_set():
     for item in {3, 1, 2}:
         out.append(item)
     return out
+
+
+def iterate_set_union(a, b):
+    out = []
+    for item in set(a) | set(b):
+        out.append(item)
+    return out

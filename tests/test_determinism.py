@@ -6,6 +6,13 @@ configuration must agree exactly — the property that makes experiments
 reproducible and regressions bisectable.
 """
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from repro import FaultSpec, MicroBenchmarkWorkload, Paradigm, StreamSystem, SystemConfig
@@ -138,3 +145,73 @@ class TestDeterminism:
             ]
 
         assert trace(3) == trace(3)
+
+
+#: A small naive-EC system under a scheduled SSE burst: the burst makes
+#: several executors gain and lose cores in the same scheduler round, so
+#: the order in which their transitions start shows in the result.
+_NAIVE_EC_BURST = textwrap.dedent(
+    """
+    import json
+    from repro import (Paradigm, RecordedWorkload, SSEWorkload,
+                       ScheduledBurst, StreamSystem, SystemConfig)
+
+    workload = SSEWorkload(
+        rate=7000.0, num_stocks=80, popularity_skew=0.5, order_cost=0.5e-3,
+        batch_size=10, burst_probability=0.0, drift_sigma=0.02,
+        scheduled_bursts=[
+            ScheduledBurst(start=5.0, stock=stock, magnitude=10.0,
+                           ramp=2.0, hold=6.0)
+            for stock in range(6)
+        ],
+        seed=7,
+    )
+    recording = RecordedWorkload.record(workload, num_instances=2, duration=14.0)
+    topology = recording.source.build_topology(
+        executors_per_operator=4, shards_per_executor=8,
+        analytics_executors=1, shard_state_bytes=16 * 1024 * 1024,
+    )
+    config = SystemConfig(
+        paradigm=Paradigm.NAIVE_EC, num_nodes=6, cores_per_node=3,
+        source_instances=2, scheduler_strategy="naive-ec",
+    )
+    system = StreamSystem(topology, recording.fresh_copy(), config)
+    result = system.run(duration=14.0, warmup=2.0)
+    print(json.dumps({
+        "migration_bytes": result.migration_bytes,
+        "processed_tuples": result.processed_tuples,
+        "latency_p99": result.latency["p99"],
+        "throughput": list(result.throughput_series.values),
+    }))
+    """
+)
+
+
+class TestHashSeedIndependence:
+    def test_naive_ec_run_ignores_string_hash_seed(self):
+        """Set and dict orders of strings follow ``PYTHONHASHSEED``; no
+        simulation decision may depend on them."""
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        runs = []
+        for hash_seed in ("1", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [str(src), env.get("PYTHONPATH")])
+            )
+            runs.append(
+                subprocess.Popen(
+                    [sys.executable, "-c", _NAIVE_EC_BURST],
+                    env=env, stdout=subprocess.PIPE, text=True,
+                )
+            )
+        results = []
+        try:
+            for proc in runs:
+                out, _ = proc.communicate(timeout=300)
+                assert proc.returncode == 0
+                results.append(json.loads(out))
+        finally:
+            for proc in runs:
+                proc.kill()
+        assert results[0]["migration_bytes"] > 0  # cores really moved
+        assert results[0] == results[1]

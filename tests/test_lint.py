@@ -33,8 +33,9 @@ class TestFixturesTripRules:
         findings = lint_fixture("det001_bad.py")
         assert rules_of(findings) == {"DET001"}
         # time, perf_counter, datetime.now, random x2, uuid4, urandom,
-        # list(set), for-over-set: every category is represented.
-        assert len(findings) == 9
+        # list(set), for-over-set, for-over-set-union: every category is
+        # represented.
+        assert len(findings) == 10
 
     def test_det001_numpy_fixture(self):
         findings = lint_fixture("det001_numpy_bad.py")

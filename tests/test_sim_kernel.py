@@ -74,6 +74,56 @@ class TestEnvironment:
         with pytest.raises(SimulationError):
             env.timeout(-1.0)
 
+    def test_due_timer_entry_precedes_later_ready_event(self, env):
+        # Two timeouts due at t=1; the first one's callback schedules a
+        # zero-delay event, which must run after the second timeout (it
+        # was scheduled later), exactly as one (time, seq) heap orders it.
+        order = []
+
+        def first(ev):
+            order.append("first")
+            follow = env.event()
+            follow.callbacks.append(lambda e: order.append("follow"))
+            follow.succeed()
+
+        env.timeout(1.0).callbacks.append(first)
+        env.timeout(1.0).callbacks.append(lambda ev: order.append("second"))
+        env.run()
+        assert order == ["first", "second", "follow"]
+
+    def test_far_future_timeouts_fire_in_order(self, env):
+        fired = []
+        env.timeout(1e6).callbacks.append(lambda ev: fired.append(env.now))
+        env.run()
+        env.timeout(0.5).callbacks.append(lambda ev: fired.append(env.now))
+        env.timeout(1e6).callbacks.append(lambda ev: fired.append(env.now))
+        env.run()
+        assert fired == [1e6, 1e6 + 0.5, 2e6]
+        assert env.peek() == float("inf")
+
+    def test_push_at(self, env):
+        order = []
+
+        def bare(value):
+            # A pre-triggered event that has NOT self-scheduled: the shape
+            # push_at/push_ready exist for (compiled pipelines build these).
+            event = Event.__new__(Event)
+            event.env = env
+            event.callbacks = [lambda e: order.append(e.value)]
+            event._ok = True
+            event._value = value
+            return event
+
+        env.push_at(3.0, bare("late"))
+        env.push_at(1.0, bare("soon"))
+        env.push_at(0.0, bare("now"))  # time == now: ready-deque path
+        env.push_ready(bare("also-now"))
+        env.run()
+        assert order == ["now", "also-now", "soon", "late"]
+        assert env.now == 3.0
+        with pytest.raises(SimulationError):
+            env.push_at(1.0, bare("past"))
+
 
 class TestEvent:
     def test_initially_pending(self, env):
